@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo ci bench bench-parallel bench-json bench-diff lintobs cover serve-smoke encoder-smoke
+.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo ci bench bench-parallel bench-json bench-diff lintobs cover serve-smoke encoder-smoke perfbench-check
 
 all: build
 
@@ -31,10 +31,12 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEncoderResponseJSON -fuzztime=5s ./internal/encoder
 
 # incremental-exactness pins the incremental-maintenance contract
-# (DESIGN.md §15): merged/updated/downdated sufficient statistics must
-# reproduce the from-scratch PCA fit within linalg.StatsFitTolerance, the
-# rows-path refit must be bit-identical, and AssessDelta verdicts must
-# equal a full reassessment while re-scoring strictly fewer passes.
+# (DESIGN.md §15): sufficient statistics accumulated from the rows (whole or
+# merged from partial fits) must reproduce the from-scratch PCA fit within
+# linalg.StatsFitTolerance, the rows-path refit must be bit-identical, a
+# churned state must train the same model as a fresh state over its rows,
+# and AssessDelta verdicts must equal a full reassessment while re-scoring
+# strictly fewer passes.
 incremental-exactness:
 	$(GO) test -count=1 -run 'IncrementalExactness|Stats' ./internal/linalg
 	$(GO) test -count=1 -run 'ScoperIncremental|AssessDelta|TrainFromPartialFits|ModelState' ./internal/core
@@ -62,9 +64,16 @@ chaos-slo:
 	$(GO) test -count=1 -run TestChaosSLO -v ./internal/experiments
 
 # ci is the tier-1 verification gate: formatting, vet, the full test suite
-# under the race detector, the wire-reader fuzz smoke, and the
-# encoder-backend conformance smoke.
-ci: fmt vet race fuzz-smoke encoder-smoke
+# under the race detector, the wire-reader fuzz smoke, the encoder-backend
+# conformance smoke, and the benchmark module check.
+ci: fmt vet race fuzz-smoke encoder-smoke perfbench-check
+
+# perfbench-check vets and tests the benchmark module. perfbench/ is its own
+# Go module, so the root `go build ./...` and `go test ./...` never enter
+# it; this target keeps a library API change from silently breaking the
+# benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem

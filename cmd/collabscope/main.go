@@ -314,10 +314,10 @@ func runTrain(args []string) {
 }
 
 // runUpdate implements incremental maintenance for evolving schemas: the
-// training state (rows + sufficient statistics) persists in -state, each
-// run applies the schema file as a diff against it, and only the delta is
-// re-accumulated before the model is retrained and written — so a DDL
-// change costs one state diff instead of a cold retrain pipeline. With
+// training state (element IDs + signature rows) persists in -state, each
+// run applies the schema file as a diff against it, and the model is
+// retrained from the updated rows and written — so a DDL change costs one
+// state diff and one schema's fit instead of a cold retrain pipeline. With
 // -push the refreshed model is republished, bumping its registry version
 // so peers and the scoping service delta-assess against it.
 func runUpdate(args []string) {

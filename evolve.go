@@ -2,11 +2,12 @@ package collabscope
 
 // Evolving-schema support (DESIGN.md §15): incremental model maintenance
 // across CLI invocations. UpdateModel keeps one schema's training state —
-// signature rows plus mergeable PCA sufficient statistics — in a state
-// directory, applies each schema revision as a diff, and retrains only
-// from the maintained state. AssessDeltaState keeps per-foreign-model
-// score columns in the same directory, so re-assessing after one peer
-// republishes re-scores only against the model that actually changed.
+// its element IDs and signature rows — in a state directory, applies each
+// schema revision as a diff, and retrains from the current rows (PCA
+// sufficient statistics, where a fit needs them, are derived from the rows
+// on the spot). AssessDeltaState keeps per-foreign-model score columns in
+// the same directory, so re-assessing after one peer republishes re-scores
+// only against the model that actually changed.
 
 import (
 	"context"
@@ -39,10 +40,10 @@ type DeltaReport = core.DeltaReport
 // UpdateModel incrementally retrains the schema's model at explained
 // variance v, persisting the training state in stateDir. The first call
 // performs a full fit; later calls diff the schema against the maintained
-// state and update only the changed elements' statistics. The result
-// matches a from-scratch TrainModel bit-for-bit while the schema has fewer
-// elements than signature dimensions, and within the documented
-// linalg.StatsFitTolerance beyond that.
+// state, report the element diff and bump the version when it is not
+// empty. The result matches a from-scratch TrainModel bit-for-bit while the
+// schema has fewer elements than signature dimensions, and within the
+// documented linalg.StatsFitTolerance beyond that.
 func (p *Pipeline) UpdateModel(s *Schema, v float64, stateDir string) (*ModelUpdate, error) {
 	return p.UpdateModelContext(context.Background(), s, v, stateDir)
 }

@@ -291,10 +291,6 @@ type Scoper struct {
 	// by every successful incremental mutation (DESIGN.md §15). Delta
 	// assessment keys cached scores on these.
 	version []int64
-	// stats holds each schema's sufficient statistics, accumulated lazily on
-	// the first incremental mutation; nil under ApproxMaxRank, whose
-	// randomized fit has no stats path.
-	stats []*linalg.PCAStats
 	// delta is the AssessDelta score cache; nil until the first delta round.
 	delta *deltaCache
 }
@@ -321,7 +317,7 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 	ctx, sp := obs.Start(ctx, "core.fit")
 	sp.Annotate("schemas", int64(len(sets)))
 	defer sp.End()
-	s := &Scoper{sets: sets, cfg: cfg, workers: workers, version: make([]int64, len(sets)), stats: make([]*linalg.PCAStats, len(sets))}
+	s := &Scoper{sets: sets, cfg: cfg, workers: workers, version: make([]int64, len(sets))}
 	for i := range s.version {
 		s.version[i] = 1
 	}
@@ -372,9 +368,9 @@ func (s *Scoper) fit(set *embed.SignatureSet) (*linalg.PCA, error) {
 // UpdateSchema replaces schema i's signature set wholesale after a schema
 // evolution and refits only that schema's model — the other schemas'
 // expensive SVDs are untouched. The replacement bumps schema i's model
-// version and forgets its sufficient statistics and cached delta scores;
-// for diff-shaped evolutions prefer AddElements / RemoveElements, which
-// keep the delta cache warm for the unchanged elements.
+// version and forgets its cached delta scores; for diff-shaped evolutions
+// prefer AddElements / RemoveElements, which keep the delta cache warm for
+// the unchanged elements.
 func (s *Scoper) UpdateSchema(i int, set *embed.SignatureSet) error {
 	if i < 0 || i >= len(s.sets) {
 		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.sets))
@@ -393,7 +389,6 @@ func (s *Scoper) UpdateSchema(i int, set *embed.SignatureSet) error {
 	s.sets[i] = set
 	s.full[i] = pca
 	s.version[i]++
-	s.stats[i] = nil
 	s.deltaInvalidateSchema(i)
 	return nil
 }

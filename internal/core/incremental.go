@@ -5,21 +5,23 @@
 //
 //   - PartialFit / TrainFromPartialFits: mergeable partial fits built on
 //     linalg.PCAStats, so sharded training combines by statistics merge.
-//   - ModelState: a persistent single-schema incremental trainer (rows +
-//     sufficient statistics + a model version), with CellStore persistence
+//   - ModelState: a persistent single-schema incremental trainer (element
+//     IDs + signature rows + a model version), with CellStore persistence
 //     that resumes bit-identically after a restart.
-//   - Scoper.AddElements / RemoveElements / MergePartialFits plus
-//     AssessDelta: in-process incremental maintenance that refits only the
-//     changed schema and re-scores only element×model pairs whose verdict
-//     can change, with obs counters proving the reuse.
+//   - Scoper.AddElements / RemoveElements plus AssessDelta: in-process
+//     incremental maintenance that refits only the changed schema and
+//     re-scores only element×model pairs whose verdict can change, with obs
+//     counters proving the reuse.
 //
-// Exactness: an incremental refit over fewer rows than dimensions runs the
-// exact from-scratch code path on the maintained rows, so the refitted
-// state is bit-identical to retraining from zero. When rows outnumber
-// dimensions the refit switches to the sufficient-statistics path (cost
-// independent of history length), which matches from-scratch training
-// within linalg.StatsFitTolerance. Delta assessment is exact in both cases:
-// reused scores are the identical float64s a full pass would recompute.
+// The only maintained state is the rows. Exactness: a refit over fewer rows
+// than dimensions runs the exact from-scratch code path on the rows, so the
+// refitted state is bit-identical to retraining from zero. When rows
+// outnumber dimensions the refit accumulates the sufficient statistics from
+// the current rows and fits from them, which matches from-scratch training
+// within linalg.StatsFitTolerance. Either way the model is a pure function
+// of the current rows, independent of the churn history. Delta assessment
+// is exact in both cases: reused scores are the identical float64s a full
+// pass would recompute.
 package core
 
 import (
@@ -44,7 +46,7 @@ import (
 type PartialFit struct {
 	// Set holds the shard's signatures. The rows back the linkability-range
 	// computation (Definition 3 needs every training row scored under the
-	// final merged model) and future downdates.
+	// final merged model).
 	Set *embed.SignatureSet
 	// Stats is the shard's accumulated (n, Σx, Σxᵀx).
 	Stats *linalg.PCAStats
@@ -142,9 +144,9 @@ func (s *Scoper) Sets() []*embed.SignatureSet {
 }
 
 // ModelVersion returns schema i's model version: 1 after construction,
-// bumped by every successful AddElements / RemoveElements /
-// MergePartialFits / UpdateSchema. Delta assessment re-scores exactly the
-// element×model pairs whose version pair changed.
+// bumped by every successful AddElements / RemoveElements / UpdateSchema.
+// Delta assessment re-scores exactly the element×model pairs whose version
+// pair changed.
 func (s *Scoper) ModelVersion(i int) int64 {
 	if i < 0 || i >= len(s.version) {
 		return 0
@@ -172,38 +174,23 @@ func (s *Scoper) checkDeltaSet(i int, set *embed.SignatureSet) error {
 	return nil
 }
 
-// ensureStats lazily accumulates schema i's sufficient statistics from its
-// current rows. The randomized (ApproxMaxRank) path never maintains stats —
-// its fit is approximate by construction, so incremental refits reuse the
-// same randomized path instead.
-func (s *Scoper) ensureStats(i int) {
-	if s.cfg.ApproxMaxRank > 0 || s.stats[i] != nil {
-		return
-	}
-	s.stats[i] = linalg.AccumulateStats(s.sets[i].Matrix)
-}
-
 // refitIncremental refits schema i's full-spectrum decomposition after a
-// membership change, choosing the cheaper exact path: with fewer rows than
-// dimensions (the schema-scoping regime) it reruns the from-scratch fit on
-// the maintained rows — bit-identical to a fresh Scoper over the same
-// state — and with rows ≥ dimensions it fits from the maintained
-// sufficient statistics, whose cost is independent of how many rows ever
-// churned (within linalg.StatsFitTolerance of from-scratch). Both choices
-// are deterministic functions of the maintained state.
+// membership change. With fewer rows than dimensions (the schema-scoping
+// regime) it reruns the from-scratch fit on the current rows — bit-identical
+// to a fresh Scoper over the same state. With rows ≥ dimensions it fits from
+// sufficient statistics accumulated over the current rows, within
+// linalg.StatsFitTolerance of from-scratch. The randomized (ApproxMaxRank)
+// path is approximate by construction and always refits through s.fit. Every
+// choice is a deterministic function of the current rows.
 func (s *Scoper) refitIncremental(i int) error {
 	set := s.sets[i]
-	if s.stats[i] != nil && set.Len() >= set.Matrix.Cols() {
-		pca, err := linalg.FitPCAFromStats(s.stats[i], 1.0)
-		if err != nil {
+	var pca *linalg.PCA
+	var err error
+	if s.cfg.ApproxMaxRank == 0 && set.Len() >= set.Matrix.Cols() {
+		if pca, err = linalg.FitPCAFromStats(linalg.AccumulateStats(set.Matrix), 1.0); err != nil {
 			return trainError(set.IDs[0].Schema, set, err)
 		}
-		s.full[i] = pca
-		s.version[i]++
-		return nil
-	}
-	pca, err := s.fit(set)
-	if err != nil {
+	} else if pca, err = s.fit(set); err != nil {
 		return err
 	}
 	s.full[i] = pca
@@ -230,20 +217,12 @@ func (s *Scoper) AddElements(i int, add *embed.SignatureSet) error {
 		}
 		have[id] = true
 	}
-	s.ensureStats(i)
 	old := s.sets[i]
-	next := appendSet(old, add)
-	if s.stats[i] != nil {
-		s.stats[i].UpdateRows(add.Matrix)
-	}
-	s.sets[i] = next
+	s.sets[i] = appendSet(old, add)
 	if err := s.refitIncremental(i); err != nil {
 		// Roll back so a failed refit (e.g. injected non-finite rows) leaves
 		// the scoper assessing the pre-update state.
 		s.sets[i] = old
-		if s.stats[i] != nil {
-			_ = s.stats[i].DowndateRows(add.Matrix)
-		}
 		return err
 	}
 	s.deltaAppendRows(i, add.Len())
@@ -279,7 +258,6 @@ func (s *Scoper) RemoveElements(i int, ids ...schema.ElementID) error {
 		return fmt.Errorf("core: removing %d of %d elements would leave schema %q empty",
 			len(drop), old.Len(), old.IDs[0].Schema)
 	}
-	s.ensureStats(i)
 	var removedRows []int
 	keepIDs := make([]schema.ElementID, 0, old.Len()-len(drop))
 	for k, id := range old.IDs {
@@ -293,77 +271,12 @@ func (s *Scoper) RemoveElements(i int, ids ...schema.ElementID) error {
 	for k, id := range keepIDs {
 		copy(next.Matrix.RowView(k), old.Matrix.RowView(pos[id]))
 	}
-	if s.stats[i] != nil {
-		for _, r := range removedRows {
-			if err := s.stats[i].Downdate(old.Matrix.RowView(r)); err != nil {
-				return fmt.Errorf("core: downdate schema %q: %w", old.IDs[0].Schema, err)
-			}
-		}
-	}
 	s.sets[i] = next
 	if err := s.refitIncremental(i); err != nil {
 		s.sets[i] = old
-		if s.stats[i] != nil {
-			for _, r := range removedRows {
-				s.stats[i].Update(old.Matrix.RowView(r))
-			}
-		}
 		return err
 	}
 	s.deltaRemoveRows(i, removedRows)
-	return nil
-}
-
-// MergePartialFits merges externally accumulated partial fits (e.g. from
-// encoding shards) into schema i: rows are appended in argument order and
-// the sufficient statistics combine by merge instead of re-accumulation.
-func (s *Scoper) MergePartialFits(i int, parts ...*PartialFit) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("core: no partial fits to merge")
-	}
-	if i < 0 || i >= len(s.sets) {
-		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.sets))
-	}
-	have := make(map[schema.ElementID]bool, s.sets[i].Len())
-	for _, id := range s.sets[i].IDs {
-		have[id] = true
-	}
-	added := 0
-	for pi, p := range parts {
-		if err := s.checkDeltaSet(i, p.Set); err != nil {
-			return err
-		}
-		if p.Stats == nil || p.Stats.N != p.Set.Len() {
-			return fmt.Errorf("core: partial fit %d carries stats over %d rows for %d signatures",
-				pi, statsN(p.Stats), p.Set.Len())
-		}
-		for _, id := range p.Set.IDs {
-			if have[id] {
-				return fmt.Errorf("core: element %s is already part of schema %q", id, id.Schema)
-			}
-			have[id] = true
-		}
-		added += p.Set.Len()
-	}
-	s.ensureStats(i)
-	old, oldStats := s.sets[i], s.stats[i]
-	next := s.sets[i]
-	stats := s.stats[i]
-	var err error
-	for _, p := range parts {
-		next = appendSet(next, p.Set)
-		if stats != nil {
-			if stats, err = linalg.MergePCAStats(stats, p.Stats); err != nil {
-				return fmt.Errorf("core: merge partial fits: %w", err)
-			}
-		}
-	}
-	s.sets[i], s.stats[i] = next, stats
-	if err := s.refitIncremental(i); err != nil {
-		s.sets[i], s.stats[i] = old, oldStats
-		return err
-	}
-	s.deltaAppendRows(i, added)
 	return nil
 }
 
@@ -616,24 +529,24 @@ func (s *Scoper) deltaScore(local *embed.SignatureSet, m *Model, mver int64, e *
 // ModelState: persistent single-schema incremental training state
 
 // ModelState is the incremental training state of one schema: its element
-// IDs and signature rows, their accumulated sufficient statistics, and a
-// version that bumps on every membership change. It backs `collabscope
-// update`: the state persists in a checkpoint store between invocations, a
-// schema evolution applies as a diff (added / removed / changed elements),
-// and only the delta touches the accumulator. Persisted state reloads
-// bit-identically — JSON float64 encoding round-trips exactly — so a
-// restarted process resumes incremental maintenance as if it never stopped.
+// IDs and signature rows, and a version that bumps on every membership
+// change. It backs `collabscope update`: the state persists in a checkpoint
+// store between invocations and a schema evolution applies as a diff
+// (added / removed / changed elements). The rows are the whole state — a
+// fit's sufficient statistics are derived from them when a fit needs them —
+// so the trained model is a pure function of the current rows. Persisted
+// state reloads bit-identically — JSON float64 encoding round-trips exactly
+// — so a restarted process resumes incremental maintenance as if it never
+// stopped.
 type ModelState struct {
 	name    string
 	ids     []schema.ElementID
 	rows    *linalg.Dense
-	stats   *linalg.PCAStats
 	version int64
 }
 
 // StateDelta summarises one ModelState.Apply: how many elements were added,
-// removed, and changed (same ID, different signature — applied as a
-// remove+add pair).
+// removed, and changed (same ID, different signature).
 type StateDelta struct {
 	Added, Removed, Changed int
 }
@@ -661,13 +574,7 @@ func NewModelState(set *embed.SignatureSet) (*ModelState, error) {
 	}
 	ids := make([]schema.ElementID, set.Len())
 	copy(ids, set.IDs)
-	return &ModelState{
-		name:    name,
-		ids:     ids,
-		rows:    set.Matrix.Clone(),
-		stats:   linalg.AccumulateStats(set.Matrix),
-		version: 1,
-	}, nil
+	return &ModelState{name: name, ids: ids, rows: set.Matrix.Clone(), version: 1}, nil
 }
 
 // Schema returns the schema name the state belongs to.
@@ -691,12 +598,10 @@ func (st *ModelState) IDs() []schema.ElementID {
 	return out
 }
 
-// Apply diffs the state against a schema's current signature set and
-// applies the difference: elements gone from the set are downdated,
-// elements new to it are accumulated, and elements whose signature changed
-// are replaced (downdate + update). Removals apply in maintained-row order,
-// then additions in set order — a fixed order, so two processes applying
-// the same diff produce bit-identical accumulators. The final element order
+// Apply diffs the state against a schema's current signature set and, when
+// anything differs, adopts the set as the new state and bumps the version:
+// elements gone from the set count as removed, elements new to it as added,
+// and elements whose signature changed as changed. The final element order
 // is the incoming set's order.
 func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
 	var delta StateDelta
@@ -711,42 +616,27 @@ func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
 		return delta, fmt.Errorf("core: state is %d-dimensional, set is %d-dimensional — the global encoder must not change mid-state",
 			st.Dim(), set.Matrix.Cols())
 	}
-	newPos := make(map[schema.ElementID]int, set.Len())
-	for k, id := range set.IDs {
-		if _, dup := newPos[id]; dup {
+	inSet := make(map[schema.ElementID]bool, set.Len())
+	for _, id := range set.IDs {
+		if inSet[id] {
 			return delta, fmt.Errorf("core: duplicate element %s in signature set", id)
 		}
-		newPos[id] = k
+		inSet[id] = true
 	}
-	// Pass 1: removals and changed-element downdates, in maintained order.
 	oldPos := make(map[schema.ElementID]int, len(st.ids))
 	for k, id := range st.ids {
 		oldPos[id] = k
-		nk, ok := newPos[id]
-		if !ok {
-			if err := st.stats.Downdate(st.rows.RowView(k)); err != nil {
-				return delta, err
-			}
+		if !inSet[id] {
 			delta.Removed++
-			continue
-		}
-		if !equalRow(st.rows.RowView(k), set.Matrix.RowView(nk)) {
-			if err := st.stats.Downdate(st.rows.RowView(k)); err != nil {
-				return delta, err
-			}
-			delta.Changed++
 		}
 	}
-	// Pass 2: additions and changed-element updates, in set order.
 	for k, id := range set.IDs {
-		unchanged := false
-		if oldK, ok := oldPos[id]; ok {
-			unchanged = equalRow(st.rows.RowView(oldK), set.Matrix.RowView(k))
-		} else {
+		oldK, ok := oldPos[id]
+		switch {
+		case !ok:
 			delta.Added++
-		}
-		if !unchanged {
-			st.stats.Update(set.Matrix.RowView(k))
+		case !equalRow(st.rows.RowView(oldK), set.Matrix.RowView(k)):
+			delta.Changed++
 		}
 	}
 	if delta.Empty() {
@@ -760,48 +650,12 @@ func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
 	return delta, nil
 }
 
-// MergePartialFit appends a shard's partial fit to the state: its rows join
-// the maintained rows and its statistics merge in — no re-accumulation of
-// the shard's rows.
-func (st *ModelState) MergePartialFit(p *PartialFit) error {
-	name, err := singleSchemaName(p.Set)
-	if err != nil {
-		return err
-	}
-	if name != st.name {
-		return fmt.Errorf("core: state holds schema %q, partial fit belongs to %q", st.name, name)
-	}
-	if p.Set.Matrix.Cols() != st.Dim() {
-		return fmt.Errorf("core: state is %d-dimensional, partial fit is %d-dimensional", st.Dim(), p.Set.Matrix.Cols())
-	}
-	if p.Stats == nil || p.Stats.N != p.Set.Len() {
-		return fmt.Errorf("core: partial fit carries stats over %d rows for %d signatures", statsN(p.Stats), p.Set.Len())
-	}
-	have := make(map[schema.ElementID]bool, len(st.ids))
-	for _, id := range st.ids {
-		have[id] = true
-	}
-	for _, id := range p.Set.IDs {
-		if have[id] {
-			return fmt.Errorf("core: element %s is already part of the state", id)
-		}
-	}
-	merged, err := linalg.MergePCAStats(st.stats, p.Stats)
-	if err != nil {
-		return fmt.Errorf("core: merge partial fit: %w", err)
-	}
-	joined := appendSet(&embed.SignatureSet{IDs: st.ids, Matrix: st.rows}, p.Set)
-	st.ids, st.rows, st.stats = joined.IDs, joined.Matrix, merged
-	st.version++
-	return nil
-}
-
 // Model trains the current state's model at explained variance v. With
 // fewer rows than dimensions — the schema-scoping regime — it runs the
-// exact Train code path over the maintained rows, so the result is
-// bit-identical to retraining from scratch. With rows ≥ dimensions it fits
-// from the maintained sufficient statistics, whose cost does not grow with
-// the rows' churn history, within linalg.StatsFitTolerance of from-scratch.
+// exact Train code path over the rows, so the result is bit-identical to
+// retraining from scratch. With rows ≥ dimensions it fits from sufficient
+// statistics accumulated over the rows, within linalg.StatsFitTolerance of
+// from-scratch.
 func (st *ModelState) Model(v float64) (*Model, error) {
 	if v <= 0 || v > 1 {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
@@ -810,7 +664,7 @@ func (st *ModelState) Model(v float64) (*Model, error) {
 	if st.Len() < st.Dim() {
 		return Train(set, v)
 	}
-	pca, err := linalg.FitPCAFromStats(st.stats, v)
+	pca, err := linalg.FitPCAFromStats(linalg.AccumulateStats(st.rows), v)
 	if err != nil {
 		return nil, trainError(st.name, set, err)
 	}
@@ -831,16 +685,15 @@ func equalRow(a, b []float64) bool {
 // modelStateCell is the checkpoint-cell payload of a ModelState. Float64
 // values survive the JSON round trip exactly (Go emits the shortest
 // representation that parses back to the same bits), so a reloaded state is
-// bit-identical to the saved one — pinned by TestModelStatePersistsBitIdentically.
+// bit-identical to the saved one — pinned by TestModelStateApplyAndPersist.
+// Cells written by older versions also carry the fit's sufficient
+// statistics (stats_n, sum, scatter); the decoder ignores those fields.
 type modelStateCell struct {
 	Schema  string             `json:"schema"`
 	Dim     int                `json:"dim"`
 	Version int64              `json:"version"`
 	IDs     []schema.ElementID `json:"ids"`
 	Rows    [][]float64        `json:"rows"`
-	StatsN  int                `json:"stats_n"`
-	Sum     []float64          `json:"sum"`
-	Scatter [][]float64        `json:"scatter"`
 }
 
 // ModelStateKey is the checkpoint-cell key of a schema's incremental state.
@@ -855,15 +708,9 @@ func (st *ModelState) Save(store CellStore) error {
 		Version: st.version,
 		IDs:     st.ids,
 		Rows:    make([][]float64, st.Len()),
-		StatsN:  st.stats.N,
-		Sum:     st.stats.Sum,
-		Scatter: make([][]float64, st.Dim()),
 	}
 	for k := range cell.Rows {
 		cell.Rows[k] = st.rows.RowView(k)
-	}
-	for j := range cell.Scatter {
-		cell.Scatter[j] = st.stats.Scatter.RowView(j)
 	}
 	if err := store.Save(ModelStateKey(st.name), &cell); err != nil {
 		return fmt.Errorf("core: save incremental state of %q: %w", st.name, err)
@@ -881,9 +728,7 @@ func LoadModelState(store CellStore, schemaName string) (*ModelState, bool, erro
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if cell.Schema != schemaName || cell.Dim <= 0 ||
-		len(cell.IDs) != len(cell.Rows) || cell.StatsN != len(cell.IDs) ||
-		len(cell.Sum) != cell.Dim || len(cell.Scatter) != cell.Dim {
+	if cell.Schema != schemaName || cell.Dim <= 0 || len(cell.IDs) != len(cell.Rows) {
 		return nil, false, fmt.Errorf("core: incremental state cell for %q is inconsistent", schemaName)
 	}
 	rows := linalg.NewDense(len(cell.Rows), cell.Dim)
@@ -894,23 +739,7 @@ func LoadModelState(store CellStore, schemaName string) (*ModelState, bool, erro
 		}
 		copy(rows.RowView(k), row)
 	}
-	scatter := linalg.NewDense(cell.Dim, cell.Dim)
-	for j, row := range cell.Scatter {
-		if len(row) != cell.Dim {
-			return nil, false, fmt.Errorf("core: incremental state cell for %q has a %d-wide scatter row, want %d",
-				schemaName, len(row), cell.Dim)
-		}
-		copy(scatter.RowView(j), row)
-	}
-	sum := make([]float64, cell.Dim)
-	copy(sum, cell.Sum)
-	return &ModelState{
-		name:    cell.Schema,
-		ids:     cell.IDs,
-		rows:    rows,
-		stats:   &linalg.PCAStats{N: cell.StatsN, Sum: sum, Scatter: scatter},
-		version: cell.Version,
-	}, true, nil
+	return &ModelState{name: cell.Schema, ids: cell.IDs, rows: rows, version: cell.Version}, true, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -86,12 +86,8 @@ func TestScoperIncrementalMatchesFromScratch(t *testing.T) {
 	if err := s.RemoveElements(1, sets[1].IDs[0], sets[1].IDs[4]); err != nil {
 		t.Fatal(err)
 	}
-	// Merge a partial fit into S2.
-	part, err := NewPartialFit(renameElements(incRandSet(rng, "S2", 4, d, 0.7), "_shard"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MergePartialFits(2, part); err != nil {
+	// Add four elements to S2.
+	if err := s.AddElements(2, renameElements(incRandSet(rng, "S2", 4, d, 0.7), "_shard")); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ModelVersion(1); got != 2 {
@@ -130,7 +126,7 @@ func TestScoperIncrementalMatchesFromScratch(t *testing.T) {
 }
 
 // TestScoperIncrementalStatsPath exercises the rows ≥ dims regime, where
-// refits run from the maintained sufficient statistics: models must agree
+// refits run from sufficient statistics of the current rows: models must agree
 // with a from-scratch Scoper within linalg.StatsFitTolerance and verdicts
 // must coincide.
 func TestScoperIncrementalStatsPath(t *testing.T) {
@@ -346,9 +342,6 @@ func TestScoperMutationErrors(t *testing.T) {
 	if err := s.RemoveElements(0, s.sets[0].IDs...); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("emptying removal: %v", err)
 	}
-	if err := s.MergePartialFits(0); err == nil {
-		t.Fatal("empty merge accepted")
-	}
 	if s.ModelVersion(0) != 1 || s.ModelVersion(1) != 1 {
 		t.Fatal("failed mutations must not bump versions")
 	}
@@ -431,8 +424,8 @@ func TestTrainFromPartialFits(t *testing.T) {
 
 // TestModelStateApplyAndPersist drives a ModelState through a schema
 // evolution and a save/load cycle: the reloaded state must be bit-identical
-// — same rows, same accumulator bits — and its trained model must equal the
-// from-scratch model (rows path, n < d).
+// — same rows — and its trained model must equal the from-scratch model
+// (rows path, n < d).
 func TestModelStateApplyAndPersist(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	d := 9
@@ -535,22 +528,6 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 			}
 		}
 	}
-	if re.stats.N != st.stats.N {
-		t.Fatalf("reloaded stats N=%d, want %d", re.stats.N, st.stats.N)
-	}
-	for j := range st.stats.Sum {
-		if re.stats.Sum[j] != st.stats.Sum[j] {
-			t.Fatalf("reloaded stats sum differs at %d", j)
-		}
-	}
-	for j := 0; j < d; j++ {
-		a, b := st.stats.Scatter.RowView(j), re.stats.Scatter.RowView(j)
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("reloaded scatter differs at (%d,%d)", j, k)
-			}
-		}
-	}
 	// Both states apply the same further evolution identically.
 	next := renameElements(incRandSet(rng, "S", 3, d, 0.4), "_v3")
 	joined := appendSet(evolved, next)
@@ -561,13 +538,8 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 	if _, err := re.Apply(joined); err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < d; j++ {
-		a, b := st.stats.Scatter.RowView(j), re.stats.Scatter.RowView(j)
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("post-resume evolution diverged at scatter (%d,%d)", j, k)
-			}
-		}
+	if re.Version() != st.Version() || modelFP(t, re, 0.9) != modelFP(t, st, 0.9) {
+		t.Fatal("post-resume evolution diverged")
 	}
 
 	// Missing schema is a clean miss.
@@ -576,7 +548,7 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 	}
 }
 
-// TestModelStateErrors covers Apply/MergePartialFit validation.
+// TestModelStateErrors covers Apply validation.
 func TestModelStateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	st, err := NewModelState(incRandSet(rng, "S", 5, 6, 0.2))
@@ -603,24 +575,168 @@ func TestModelStateErrors(t *testing.T) {
 	if _, err := st.Model(0); err == nil {
 		t.Fatal("v=0 accepted")
 	}
-	p, err := NewPartialFit(renameElements(incRandSet(rng, "S", 2, 6, 0.2), "_p"))
+}
+
+// modelFP trains st's model at v and returns the model's content
+// fingerprint (the wire-format hash that ETags are made of).
+func modelFP(t *testing.T, st *ModelState, v float64) string {
+	t.Helper()
+	m, err := st.Model(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.MergePartialFit(p); err != nil {
+	fp, err := m.Fingerprint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.MergePartialFit(p); err == nil || !strings.Contains(err.Error(), "already part") {
-		t.Fatalf("re-merging the same shard: %v", err)
+	return fp
+}
+
+func trainFP(t *testing.T, set *embed.SignatureSet, v float64) string {
+	t.Helper()
+	m, err := Train(set, v)
+	if err != nil {
+		t.Fatal(err)
 	}
-	other, _ := NewPartialFit(incRandSet(rng, "OTHER", 2, 6, 0))
-	if err := st.MergePartialFit(other); err == nil {
-		t.Fatal("cross-schema merge accepted")
+	fp, err := m.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
+// TestModelStateResumesLegacyCell pins backward compatibility of the state
+// cell: cells written before the state was reduced to rows also carry the
+// fit's sufficient statistics (stats_n, sum, scatter). Such a cell still
+// loads, the extra fields are ignored, and the resumed state trains and
+// evolves exactly like Train over the same rows.
+func TestModelStateResumesLegacyCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	d := 10
+	set := incRandSet(rng, "S", 6, d, 0.3)
+	stats := linalg.AccumulateStats(set.Matrix)
+	legacy := struct {
+		Schema  string             `json:"schema"`
+		Dim     int                `json:"dim"`
+		Version int64              `json:"version"`
+		IDs     []schema.ElementID `json:"ids"`
+		Rows    [][]float64        `json:"rows"`
+		StatsN  int                `json:"stats_n"`
+		Sum     []float64          `json:"sum"`
+		Scatter [][]float64        `json:"scatter"`
+	}{Schema: "S", Dim: d, Version: 3, IDs: set.IDs, StatsN: stats.N, Sum: stats.Sum}
+	for k := 0; k < set.Len(); k++ {
+		legacy.Rows = append(legacy.Rows, set.Matrix.RowView(k))
+	}
+	for j := 0; j < d; j++ {
+		legacy.Scatter = append(legacy.Scatter, stats.Scatter.RowView(j))
+	}
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(ModelStateKey("S"), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	st, ok, err := LoadModelState(store, "S")
+	if err != nil || !ok {
+		t.Fatalf("legacy cell: ok=%v err=%v", ok, err)
+	}
+	if st.Version() != 3 || !reflect.DeepEqual(st.IDs(), set.IDs) {
+		t.Fatalf("legacy cell resumed at version %d with ids %v", st.Version(), st.IDs())
+	}
+	if got, want := modelFP(t, st, 0.9), trainFP(t, set, 0.9); got != want {
+		t.Fatalf("resumed model fingerprint %s, Train gives %s", got, want)
+	}
+	evolved := appendSet(set, renameElements(incRandSet(rng, "S", 2, d, 0.3), "_new"))
+	if _, err := st.Apply(evolved); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := modelFP(t, st, 0.9), trainFP(t, evolved, 0.9); st.Version() != 4 || got != want {
+		t.Fatalf("evolved legacy state: version %d, fingerprint %s, Train gives %s", st.Version(), got, want)
+	}
+}
+
+// TestModelStateLargeNIndependentOfHistory pins the n ≥ d regime, where
+// Model fits from sufficient statistics. The statistics are derived from
+// the current rows, so a state driven through add, drop and change rounds,
+// each followed by a save and reload, trains a model fingerprint-equal to a
+// fresh state over the same final rows — not merely within
+// linalg.StatsFitTolerance of it. The saved cell holds rows only.
+func TestModelStateLargeNIndependentOfHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	d := 6
+	cur := incRandSet(rng, "S", 20, d, 0.4)
+	st, err := NewModelState(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		// Drop every third element, change the first survivor, add three.
+		next := &embed.SignatureSet{}
+		var rows [][]float64
+		for k, id := range cur.IDs {
+			if k%3 == round%3 {
+				continue
+			}
+			next.IDs = append(next.IDs, id)
+			rows = append(rows, append([]float64(nil), cur.Matrix.RowView(k)...))
+		}
+		rows[0][0] += 0.5
+		add := renameElements(incRandSet(rng, "S", 3, d, 0.4), "_r"+string(rune('0'+round)))
+		next.IDs = append(next.IDs, add.IDs...)
+		for k := 0; k < add.Len(); k++ {
+			rows = append(rows, add.Matrix.RowView(k))
+		}
+		next.Matrix = linalg.FromRows(rows)
+		delta, err := st.Apply(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.Added != 3 || delta.Removed == 0 || delta.Changed != 1 {
+			t.Fatalf("round %d: delta %v", round, delta)
+		}
+		if err := st.Save(store); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if st, ok, err = LoadModelState(store, "S"); err != nil || !ok {
+			t.Fatalf("round %d reload: ok=%v err=%v", round, ok, err)
+		}
+		cur = next
+	}
+	if st.Len() < st.Dim() || st.Version() != 5 {
+		t.Fatalf("final state has %d rows of dim %d at version %d; want n ≥ d at version 5", st.Len(), st.Dim(), st.Version())
+	}
+	fresh, err := NewModelState(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := modelFP(t, st, 0.85), modelFP(t, fresh, 0.85); got != want {
+		t.Fatalf("churned state fingerprint %s, fresh state over the same rows %s", got, want)
+	}
+	cells, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("want exactly one cell file, got %v (%v)", cells, err)
+	}
+	b, err := os.ReadFile(cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"scatter"`, `"stats_n"`} {
+		if strings.Contains(string(b), key) {
+			t.Fatalf("saved state cell carries %s", key)
+		}
 	}
 }
 
 // TestCorruptStateCellQuarantined pins the crash-safety posture of
-// persisted sufficient statistics: a corrupted cell is a miss (the caller
+// persisted incremental state: a corrupted cell is a miss (the caller
 // re-initialises from a full fit), and the damaged file is quarantined for
 // forensics rather than trusted or deleted.
 func TestCorruptStateCellQuarantined(t *testing.T) {
@@ -645,8 +761,9 @@ func TestCorruptStateCellQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte: the SHA-256 trailer no longer matches.
-	mangled := []byte(strings.Replace(string(b), `"stats_n":6`, `"stats_n":9`, 1))
+	// Flip a payload byte (the state's version, not the envelope's): the
+	// SHA-256 trailer no longer matches.
+	mangled := []byte(strings.Replace(string(b), `"dim":5,"version":1`, `"dim":5,"version":9`, 1))
 	if string(mangled) == string(b) {
 		t.Fatal("corruption did not change the cell")
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -73,20 +75,27 @@ func TestBackoffHonoursRetryAfter(t *testing.T) {
 	}
 }
 
-func TestParseRetryAfterSeconds(t *testing.T) {
-	cases := map[string]time.Duration{
-		"":                         0,
-		"  ":                       0,
-		"3":                        3 * time.Second,
-		" 10 ":                     10 * time.Second,
-		"-1":                       0,
-		"nope":                     0,
-		"Wed, 21 Oct 2015 07:28 G": 0,
+// TestBackoffHonoursRetryAfterHTTPDate pins the shared Retry-After parser
+// on the encoder path: a server answering 503 with the RFC 9110 HTTP-date
+// form of Retry-After floors the next backoff, exactly like delay-seconds.
+func TestBackoffHonoursRetryAfterHTTPDate(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Retry-After", time.Now().Add(30*time.Second).UTC().Format(http.TimeFormat))
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(srv.Close)
+	r, err := NewRemote(srv.URL, WithDim(8), WithJitterRand(rand.New(rand.NewPCG(1, 1))),
+		WithRetryPolicy(exchange.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Minute, Timeout: 5 * time.Second}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for in, want := range cases {
-		if got := parseRetryAfterSeconds(in); got != want {
-			t.Fatalf("parseRetryAfterSeconds(%q) = %v, want %v", in, got, want)
-		}
+	_, err = r.EncodeBatch(context.Background(), []string{"a"})
+	var se *encodeStatusError
+	if !errors.As(err, &se) || se.code != http.StatusServiceUnavailable {
+		t.Fatalf("want a 503 status error, got %v", err)
+	}
+	if d := r.backoff(1, err); d < 20*time.Second || d > 30*time.Second {
+		t.Fatalf("backoff %v after an HTTP-date Retry-After ~30s out, want it floored in [20s, 30s]", d)
 	}
 }
 

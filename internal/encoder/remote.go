@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -155,30 +154,11 @@ func NewRemote(url string, opts ...RemoteOption) (*Remote, error) {
 	if r.dim <= 0 {
 		return nil, fmt.Errorf("encoder: remote backend needs a positive dimension")
 	}
-	r.policy = normalizePolicy(r.policy)
+	r.policy = r.policy.WithDefaults()
 	r.cache = newSigCache(r.capacity, r.store, r.reg)
 	r.co.flush = r.flush
 	r.co.window = r.maxBatch
 	return r, nil
-}
-
-// normalizePolicy fills zero fields with the exchange client defaults —
-// the same semantics as the exchange client's own policy handling.
-func normalizePolicy(p exchange.RetryPolicy) exchange.RetryPolicy {
-	def := exchange.DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = def.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = def.MaxDelay
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = def.Timeout
-	}
-	return p
 }
 
 // Dim implements embed.Encoder.
@@ -371,7 +351,7 @@ func (r *Remote) once(payload []byte, wantTexts int) (*EncodeResponse, error) {
 		return nil, &encodeStatusError{
 			code:       resp.StatusCode,
 			body:       string(snippet),
-			retryAfter: parseRetryAfterSeconds(resp.Header.Get("Retry-After")),
+			retryAfter: exchange.ParseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
@@ -453,20 +433,6 @@ func (r *Remote) backoff(attempt int, lastErr error) time.Duration {
 		}
 	}
 	return d
-}
-
-// parseRetryAfterSeconds reads delay-seconds Retry-After advice (the only
-// form the stub and exchange servers emit); anything else yields 0.
-func parseRetryAfterSeconds(v string) time.Duration {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }
 
 func sleep(d time.Duration) {

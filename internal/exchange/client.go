@@ -49,7 +49,9 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Timeout: 5 * time.Second}
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// WithDefaults returns p with every zero or negative field replaced by its
+// DefaultRetryPolicy value.
+func (p RetryPolicy) WithDefaults() RetryPolicy {
 	def := DefaultRetryPolicy()
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = def.MaxAttempts
@@ -154,7 +156,7 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 
 // WithRetryPolicy replaces the default retry policy.
 func WithRetryPolicy(p RetryPolicy) ClientOption {
-	return func(c *Client) { c.policy = p.withDefaults() }
+	return func(c *Client) { c.policy = p.WithDefaults() }
 }
 
 // WithJitterRand replaces the backoff jitter's randomness source with a
@@ -496,7 +498,7 @@ func (c *Client) once(ctx context.Context, rq request, target string, timeout ti
 		return nil, "", false, &statusError{
 			code:       resp.StatusCode,
 			body:       string(snippet),
-			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+			retryAfter: ParseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
@@ -509,11 +511,11 @@ func (c *Client) once(ctx context.Context, rq request, target string, timeout ti
 	return c.corrupt("exchange.client.body", body), resp.Header.Get("ETag"), false, nil
 }
 
-// parseRetryAfter reads Retry-After in either of its RFC 9110 forms:
+// ParseRetryAfter reads Retry-After in either of its RFC 9110 forms:
 // delay-seconds (the form the exchange server emits) or an HTTP-date,
 // converted to a non-negative delay from now. Unparseable or past values
 // yield 0 (no advice).
-func parseRetryAfter(v string) time.Duration {
+func ParseRetryAfter(v string) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0

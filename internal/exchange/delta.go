@@ -18,12 +18,14 @@ import (
 	"encoding/hex"
 	"math"
 	"sync"
+
+	"collabscope/internal/lru"
 )
 
 // maxDeltaEntries bounds the per-server delta cache: one entry is one
 // distinct (tenant, signature set) with up to one error column per foreign
-// model. Eviction is oldest-first; the cache is an accelerator, never a
-// correctness dependency.
+// model. The least recently used entry is evicted first; the cache is an
+// accelerator, never a correctness dependency.
 const maxDeltaEntries = 128
 
 // deltaColumn is one cached per-model error column.
@@ -32,19 +34,15 @@ type deltaColumn struct {
 	errs []float64
 }
 
-// deltaEntry caches every known column of one (tenant, signatures) pair.
-type deltaEntry struct {
-	cols map[string]deltaColumn // keyed by foreign schema name
-}
-
+// deltaStore maps a (tenant, signatures) key to its known columns, keyed by
+// foreign schema name.
 type deltaStore struct {
 	mu      sync.Mutex
-	entries map[string]*deltaEntry
-	order   []string // insertion order, for bounded eviction
+	entries *lru.Cache[string, map[string]deltaColumn]
 }
 
 func newDeltaStore() *deltaStore {
-	return &deltaStore{entries: make(map[string]*deltaEntry)}
+	return &deltaStore{entries: lru.New[string, map[string]deltaColumn](maxDeltaEntries)}
 }
 
 // lookup returns a copy of the entry's columns (so the caller reads them
@@ -52,34 +50,29 @@ func newDeltaStore() *deltaStore {
 func (d *deltaStore) lookup(key string) map[string]deltaColumn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.entries[key]
+	cols, ok := d.entries.Get(key)
 	if !ok {
 		return nil
 	}
-	out := make(map[string]deltaColumn, len(e.cols))
-	for name, c := range e.cols {
+	out := make(map[string]deltaColumn, len(cols))
+	for name, c := range cols {
 		out[name] = c
 	}
 	return out
 }
 
-// put stores freshly computed columns, evicting the oldest entries beyond
-// the capacity bound.
+// put stores freshly computed columns, evicting the least recently used
+// entry beyond the capacity bound.
 func (d *deltaStore) put(key string, cols map[string]deltaColumn) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.entries[key]
+	e, ok := d.entries.Get(key)
 	if !ok {
-		e = &deltaEntry{cols: make(map[string]deltaColumn)}
-		d.entries[key] = e
-		d.order = append(d.order, key)
-		for len(d.order) > maxDeltaEntries {
-			delete(d.entries, d.order[0])
-			d.order = d.order[1:]
-		}
+		e = make(map[string]deltaColumn, len(cols))
+		d.entries.Put(key, e)
 	}
 	for name, c := range cols {
-		e.cols[name] = c
+		e[name] = c
 	}
 }
 

@@ -3,6 +3,7 @@ package exchange
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -134,11 +135,33 @@ func TestDeltaStoreBounded(t *testing.T) {
 	for i := 0; i < maxDeltaEntries+50; i++ {
 		d.put(string(rune(i))+"key", map[string]deltaColumn{"S": {etag: "e", errs: []float64{1}}})
 	}
-	if len(d.entries) != maxDeltaEntries || len(d.order) != maxDeltaEntries {
-		t.Fatalf("cache holds %d entries (%d order), cap %d", len(d.entries), len(d.order), maxDeltaEntries)
+	if n := d.entries.Len(); n != maxDeltaEntries {
+		t.Fatalf("cache holds %d entries, cap %d", n, maxDeltaEntries)
 	}
 	if d.lookup("missing") != nil {
 		t.Fatal("lookup of a missing key returned an entry")
+	}
+}
+
+// TestDeltaStoreKeepsRecentlyRead pins least-recently-used eviction: an
+// entry that is read between inserts survives maxDeltaEntries newer keys,
+// while the entry inserted with it and never read is evicted.
+func TestDeltaStoreKeepsRecentlyRead(t *testing.T) {
+	d := newDeltaStore()
+	col := map[string]deltaColumn{"S": {etag: "e", errs: []float64{1}}}
+	d.put("hot", col)
+	d.put("cold", col)
+	for i := 0; i < maxDeltaEntries; i++ {
+		if d.lookup("hot") == nil {
+			t.Fatalf("recently read entry evicted after %d newer keys", i)
+		}
+		d.put(fmt.Sprintf("new-%d", i), col)
+	}
+	if d.lookup("hot") == nil {
+		t.Fatalf("recently read entry did not survive %d newer keys", maxDeltaEntries)
+	}
+	if d.lookup("cold") != nil {
+		t.Fatal("never-read entry outlived the capacity bound")
 	}
 }
 

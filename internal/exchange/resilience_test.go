@@ -89,27 +89,27 @@ func TestAttemptTimeoutRetriedWithLiveCaller(t *testing.T) {
 // TestParseRetryAfterForms covers both RFC 9110 Retry-After forms:
 // delay-seconds and HTTP-date, plus the garbage and past-date fallbacks.
 func TestParseRetryAfterForms(t *testing.T) {
-	if got := parseRetryAfter("3"); got != 3*time.Second {
+	if got := ParseRetryAfter("3"); got != 3*time.Second {
 		t.Errorf("delay-seconds: got %v, want 3s", got)
 	}
-	if got := parseRetryAfter(" 7 "); got != 7*time.Second {
+	if got := ParseRetryAfter(" 7 "); got != 7*time.Second {
 		t.Errorf("padded delay-seconds: got %v, want 7s", got)
 	}
-	if got := parseRetryAfter("-2"); got != 0 {
+	if got := ParseRetryAfter("-2"); got != 0 {
 		t.Errorf("negative seconds: got %v, want 0", got)
 	}
-	if got := parseRetryAfter(""); got != 0 {
+	if got := ParseRetryAfter(""); got != 0 {
 		t.Errorf("empty header: got %v, want 0", got)
 	}
-	if got := parseRetryAfter("soon"); got != 0 {
+	if got := ParseRetryAfter("soon"); got != 0 {
 		t.Errorf("garbage: got %v, want 0", got)
 	}
 	future := time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(future); got <= 0 || got > 10*time.Second {
+	if got := ParseRetryAfter(future); got <= 0 || got > 10*time.Second {
 		t.Errorf("future HTTP-date: got %v, want in (0, 10s]", got)
 	}
 	past := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(past); got != 0 {
+	if got := ParseRetryAfter(past); got != 0 {
 		t.Errorf("past HTTP-date: got %v, want 0", got)
 	}
 }

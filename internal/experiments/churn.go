@@ -140,7 +140,7 @@ func RunChurnBench(cfg ChurnBenchConfig, enc *Encoded) (*ChurnBenchResult, error
 		i := targets[round%len(targets)]
 
 		// Mutate: mostly additions, removing earlier churn-born elements on
-		// every third round so the downdate path is exercised too.
+		// every third round so the removal path is exercised too.
 		sw := obs.NewStopwatch()
 		if round%3 == 2 && len(added[i]) >= 2 {
 			drop := added[i][:2]

@@ -10,7 +10,7 @@ import (
 // scale: the benchmark itself enforces verdict equality between the delta
 // and cold paths every round, so this test asserts the accounting — delta
 // assessment reuses work, the incremental path is faster than cold
-// retrain+reassess, and both downdate and update rounds executed.
+// retrain+reassess, and both removal and addition rounds executed.
 func TestChurnBenchVerdictsAndSavings(t *testing.T) {
 	enc := Encode(FastConfig(), datasets.OC3FO())
 	res, err := RunChurnBench(ChurnBenchConfig{Seed: 3, Rounds: 6}, enc)

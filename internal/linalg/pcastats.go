@@ -9,10 +9,10 @@ import (
 // count n, the column sum Σx, and the uncentered scatter Σ xᵀx. Everything
 // a PCA needs — mean, covariance, principal components — is a pure function
 // of these three, so partial fits computed on disjoint row sets combine by
-// componentwise addition (Merge), elements can be added (Update) or removed
-// (Downdate) without revisiting the remaining rows, and the accumulated
-// state serialises to exact decimal floats, making a persisted-and-reloaded
-// accumulator bit-identical to the in-memory one.
+// componentwise addition (Merge) and rows can be folded in one at a time
+// (Update). The statistics are a derived value, not maintained state:
+// incremental maintenance (DESIGN.md §15) keeps only the rows and
+// accumulates the statistics from them when a fit at n ≥ d needs them.
 //
 // # Accumulation order
 //
@@ -35,8 +35,8 @@ import (
 // only defined up to sign and rotation within ties, so the contract is
 // stated on the invariants assessment consumes, not on raw component
 // entries). The incremental-exactness suite (make incremental-exactness)
-// pins this over seeded random add/remove/merge grids; drift is a red
-// build, not a silent quality regression.
+// pins this over seeded random split grids; drift is a red build, not a
+// silent quality regression.
 type PCAStats struct {
 	// N is the number of accumulated rows.
 	N int
@@ -88,57 +88,30 @@ func (s *PCAStats) Clone() *PCAStats {
 
 // Update folds one row into the accumulator.
 func (s *PCAStats) Update(row []float64) {
-	s.apply(row, +1)
-	s.N++
-}
-
-// Downdate removes one previously accumulated row. Removing a row that was
-// never accumulated is not detectable here — the caller owns membership —
-// but an empty accumulator refuses to go negative.
-func (s *PCAStats) Downdate(row []float64) error {
-	if s.N == 0 {
-		return fmt.Errorf("linalg: downdate of an empty accumulator")
+	d := len(s.Sum)
+	if len(row) != d {
+		panic(fmt.Sprintf("linalg: stats row has %d values, accumulator is %d-dimensional", len(row), d))
 	}
-	s.apply(row, -1)
-	s.N--
-	return nil
+	// The j≤k triangle is computed once and mirrored, keeping the scatter
+	// exactly symmetric.
+	for j := 0; j < d; j++ {
+		s.Sum[j] += row[j]
+		base := j * d
+		for k := j; k < d; k++ {
+			v := row[j] * row[k]
+			s.Scatter.data[base+k] += v
+			if k != j {
+				s.Scatter.data[k*d+j] += v
+			}
+		}
+	}
+	s.N++
 }
 
 // UpdateRows folds every row of x in ascending index order.
 func (s *PCAStats) UpdateRows(x *Dense) {
 	for i := 0; i < x.Rows(); i++ {
 		s.Update(x.RowView(i))
-	}
-}
-
-// DowndateRows removes every row of x in ascending index order.
-func (s *PCAStats) DowndateRows(x *Dense) error {
-	for i := 0; i < x.Rows(); i++ {
-		if err := s.Downdate(x.RowView(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// apply adds (sign=+1) or subtracts (sign=-1) one row's contribution. The
-// j≤k triangle is computed once and mirrored, keeping the scatter exactly
-// symmetric under both update and downdate.
-func (s *PCAStats) apply(row []float64, sign float64) {
-	d := len(s.Sum)
-	if len(row) != d {
-		panic(fmt.Sprintf("linalg: stats row has %d values, accumulator is %d-dimensional", len(row), d))
-	}
-	for j := 0; j < d; j++ {
-		s.Sum[j] += sign * row[j]
-		base := j * d
-		for k := j; k < d; k++ {
-			v := sign * row[j] * row[k]
-			s.Scatter.data[base+k] += v
-			if k != j {
-				s.Scatter.data[k*d+j] += v
-			}
-		}
 	}
 }
 

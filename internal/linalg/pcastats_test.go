@@ -109,55 +109,9 @@ func TestIncrementalExactnessMerge(t *testing.T) {
 	}
 }
 
-// TestIncrementalExactnessUpdateDowndate pins the element add/remove path:
-// an accumulator driven through a seeded churn schedule must fit the same
-// model (within tolerance) as a from-scratch fit over the surviving rows.
-func TestIncrementalExactnessUpdateDowndate(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		d := 10
-		s := NewPCAStats(d)
-		var live [][]float64
-		add := func(k int) {
-			for i := 0; i < k; i++ {
-				row := make([]float64, d)
-				for j := range row {
-					row[j] = rng.NormFloat64() + 0.3*float64(j)
-				}
-				s.Update(row)
-				live = append(live, row)
-			}
-		}
-		remove := func(k int) {
-			for i := 0; i < k && len(live) > 3; i++ {
-				idx := rng.Intn(len(live))
-				if err := s.Downdate(live[idx]); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live[:idx], live[idx+1:]...)
-			}
-		}
-		add(30)
-		remove(8)
-		add(5)
-		remove(12)
-		add(9)
-
-		x := FromRows(live)
-		got, err := FitPCAFromStats(s, 0.85)
-		if err != nil {
-			t.Fatalf("seed %d: stats fit after churn: %v", seed, err)
-		}
-		if s.N != len(live) {
-			t.Fatalf("seed %d: accumulator N=%d, live rows %d", seed, s.N, len(live))
-		}
-		assertStatsFitMatches(t, x, got, 0.85)
-	}
-}
-
 // TestStatsAccumulationDeterministic pins the fixed accumulation order:
 // two accumulators fed the same rows in the same order are bit-identical,
-// and the scatter stays exactly symmetric through updates and downdates.
+// and the scatter is exactly symmetric.
 func TestStatsAccumulationDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := statsRandMatrix(rng, 20, 9, 0.2)
@@ -177,13 +131,10 @@ func TestStatsAccumulationDeterministic(t *testing.T) {
 			t.Fatalf("scatter cell %d differs between identical accumulation orders", i)
 		}
 	}
-	if err := a.Downdate(x.RowView(3)); err != nil {
-		t.Fatal(err)
-	}
 	for j := 0; j < 9; j++ {
 		for k := j + 1; k < 9; k++ {
 			if a.Scatter.At(j, k) != a.Scatter.At(k, j) {
-				t.Fatalf("scatter asymmetric at (%d,%d) after downdate", j, k)
+				t.Fatalf("scatter asymmetric at (%d,%d)", j, k)
 			}
 		}
 	}
@@ -214,9 +165,6 @@ func TestStatsFitErrors(t *testing.T) {
 	}
 	if _, err := FitPCAFromStats(s, 1.5); err == nil {
 		t.Fatal("variance 1.5 accepted")
-	}
-	if err := NewPCAStats(2).Downdate([]float64{1, 2}); err == nil {
-		t.Fatal("downdate of empty accumulator succeeded")
 	}
 	if _, err := MergePCAStats(NewPCAStats(2), NewPCAStats(3)); err == nil {
 		t.Fatal("dimension-mismatched merge succeeded")

@@ -1,12 +1,11 @@
 // Package lru provides a small size-capped least-recently-used map, the
 // bounding primitive behind the long-lived caches of this repo: the
-// exchange client's per-URL ETag/model cache and the encoder backends'
-// content-addressed signature cache. Both previously risked unbounded
-// growth in a long-running service; an LRU cap turns "grows forever" into
-// "evicts the coldest entry", and callers surface evictions as a counter.
+// exchange client's per-URL ETag/model cache, the hub's delta-assessment
+// column cache, and the encoder backends' content-addressed signature
+// cache. An LRU cap turns "grows forever" into "evicts the coldest entry".
 //
 // The cache is not safe for concurrent use; callers hold their own lock
-// (both call sites already serialise cache access behind a mutex).
+// (every call site serialises cache access behind a mutex).
 package lru
 
 // node is one entry in the intrusive recency list. head side is the most
