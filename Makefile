@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo ci bench bench-parallel bench-json bench-diff lintobs cover serve-smoke encoder-smoke perfbench-check
+.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo ci bench bench-parallel bench-json bench-diff lintobs cover serve-smoke encoder-smoke perfbench-check svd-fma-check
 
 all: build
 
@@ -65,8 +65,25 @@ chaos-slo:
 
 # ci is the tier-1 verification gate: formatting, vet, the full test suite
 # under the race detector, the wire-reader fuzz smoke, the encoder-backend
-# conformance smoke, and the benchmark module check.
-ci: fmt vet race fuzz-smoke encoder-smoke perfbench-check
+# conformance smoke, the benchmark module check, and the SVD FMA check.
+ci: fmt vet race fuzz-smoke encoder-smoke perfbench-check svd-fma-check
+
+# svd-fma-check keeps the SVD's bits platform-independent. gc may fuse
+# x*y + z into one fused multiply-add on arm64, ppc64le and s390x (never on
+# amd64), which rounds once instead of twice; the SVD and QR loops round
+# every product explicitly with float64(…) to forbid that. This target
+# cross-compiles internal/linalg for arm64 (no emulator needed) and fails
+# if the assembly of any function below contains an FMA, or if a function
+# is missing from the listing.
+SVD_FUNCS = ComputeSVD computeSVD vectorSVD jacobiSVD qrJacobiSVD householderQR reflect rotate ExplainedVariance
+svd-fma-check:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/linalg 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk -v funcs="$(SVD_FUNCS)" ' \
+		BEGIN { n = split(funcs, f, " "); for (i = 1; i <= n; i++) want["collabscope/internal/linalg." f[i]] = 1 } \
+		/ STEXT / { fn = $$1; if (fn in want) seen[fn] = 1 } \
+		/FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && (fn in want) { print "svd-fma-check: fused multiply-add in " fn ":" $$0; bad++ } \
+		END { for (w in want) if (!(w in seen)) { print "svd-fma-check: " w " missing from the arm64 listing"; bad++ } \
+			if (bad) exit 1; print "svd-fma-check: no FMA in " n " SVD functions (arm64)" }'
 
 # perfbench-check vets and tests the benchmark module. perfbench/ is its own
 # Go module, so the root `go build ./...` and `go test ./...` never enter
