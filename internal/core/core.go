@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"collabscope/internal/embed"
 	"collabscope/internal/linalg"
@@ -333,17 +334,29 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 				i, set.Matrix.Cols(), dim)
 		}
 	}
+	// The fits go to the pool largest first, so the longest SVD never
+	// starts last and leaves the other workers idle. Every fit runs and
+	// files its result under its schema index; the reported error is the
+	// lowest failing schema index, whatever the dispatch order.
+	order := make([]int, len(sets))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sets[order[a]].Len() > sets[order[b]].Len() })
 	s.full = make([]*linalg.PCA, len(sets))
-	err := parallel.ForEach(ctx, workers, len(sets), func(i int) error {
-		pca, ferr := s.fit(sets[i])
-		if ferr != nil {
-			return ferr
-		}
-		s.full[i] = pca
+	errs := make([]error, len(sets))
+	err := parallel.ForEach(ctx, workers, len(sets), func(k int) error {
+		i := order[k]
+		s.full[i], errs[i] = s.fit(sets[i])
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, ferr := range errs {
+		if ferr != nil {
+			return nil, ferr
+		}
 	}
 	return s, nil
 }

@@ -89,3 +89,75 @@ func TestDegenerateModelConstantSignatures(t *testing.T) {
 		t.Fatalf("degenerate error does not name the schema: %v", checkModel(bad))
 	}
 }
+
+// NewScoperContext dispatches the per-schema fits largest first. The
+// models must not depend on the dispatch, the input order or the worker
+// count.
+func TestNewScoperModelsIndependentOfOrderAndWorkers(t *testing.T) {
+	_, sets := encodeAll(t)
+	fingerprints := func(sets []*embed.SignatureSet, workers int) map[string]string {
+		s, err := NewScoperContext(context.Background(), workers, sets, AssessConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models, err := s.Models(0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for i, m := range models {
+			if m.Schema != sets[i].IDs[0].Schema {
+				t.Fatalf("model %d is for schema %q, set %d is %q", i, m.Schema, i, sets[i].IDs[0].Schema)
+			}
+			fp, err := m.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[m.Schema] = fp
+		}
+		return out
+	}
+	want := fingerprints(sets, 1)
+	reversed := make([]*embed.SignatureSet, len(sets))
+	for i, set := range sets {
+		reversed[len(sets)-1-i] = set
+	}
+	for _, in := range [][]*embed.SignatureSet{sets, reversed} {
+		for _, workers := range []int{1, 2, 4} {
+			got := fingerprints(in, workers)
+			for name, fp := range want {
+				if got[name] != fp {
+					t.Fatalf("workers %d: schema %q fingerprint %s, want %s", workers, name, got[name], fp)
+				}
+			}
+		}
+	}
+}
+
+// With two failing schemas the reported error is the lowest failing schema
+// index, even though the larger one is dispatched first.
+func TestNewScoperReportsLowestFailingSchema(t *testing.T) {
+	_, sets := encodeAll(t)
+	// A smaller schema at a lower index than a larger one: dispatch order
+	// and schema order disagree.
+	first, second := -1, -1
+	for a := range sets {
+		for b := a + 1; b < len(sets) && first < 0; b++ {
+			if sets[a].Len() < sets[b].Len() {
+				first, second = a, b
+			}
+		}
+	}
+	if first < 0 {
+		t.Fatal("test schemas need a smaller schema before a larger one")
+	}
+	poison(sets[first], 0, 1)
+	poison(sets[second], 0, 2)
+	_, want := Train(sets[first], 1)
+	for _, workers := range []int{1, 2, 4} {
+		_, err := NewScoperContext(context.Background(), workers, sets, AssessConfig{})
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("workers %d: err = %v, want %v", workers, err, want)
+		}
+	}
+}
