@@ -1,7 +1,8 @@
 // Package linalg provides the dense linear-algebra substrate used by the
 // scoping pipelines: matrices, vector operations, mean-centering, a
-// one-sided Jacobi singular value decomposition, explained-variance
-// bookkeeping, and PCA encode/decode with per-row reconstruction errors.
+// one-sided Jacobi singular value decomposition (QR-preconditioned for
+// wide inputs), explained-variance bookkeeping, and PCA encode/decode with
+// per-row reconstruction errors.
 //
 // The matrices involved in schema scoping are small (at most a few hundred
 // rows of a few hundred columns), so the package favours clarity and
